@@ -47,15 +47,21 @@ void AppendSyncTasks(const SyncConfig& config, const GradientSync& gradient,
 void AppendSyncTasksOver(const SyncConfig& config, const GradientSync& gradient,
                          const std::vector<int>& nodes, TaskGraph* graph) {
   CHECK_GT(nodes.size(), 0u);
-  SyncConfig degraded = config;
-  degraded.num_nodes = static_cast<int>(nodes.size());
   GradientSync clamped = gradient;
   clamped.partitions = std::min(std::max(1, gradient.partitions),
-                                degraded.num_nodes);
+                                static_cast<int>(nodes.size()));
+  AppendSyncTasksOn(config, clamped, nodes, graph);
+}
+
+void AppendSyncTasksOn(const SyncConfig& config, const GradientSync& gradient,
+                       const std::vector<int>& nodes, TaskGraph* graph) {
+  CHECK_GT(nodes.size(), 0u);
+  SyncConfig sized = config;
+  sized.num_nodes = static_cast<int>(nodes.size());
   const size_t first = graph->size();
-  AppendSyncTasks(degraded, clamped, graph);
+  AppendSyncTasks(sized, gradient, graph);
   // The builders emitted logical ids in [0, nodes.size()); map them onto the
-  // surviving physical nodes.
+  // physical nodes.
   for (size_t id = first; id < graph->size(); ++id) {
     SyncTask& task = graph->task(static_cast<TaskId>(id));
     if (task.node >= 0) {

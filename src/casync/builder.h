@@ -54,6 +54,11 @@ void AppendSyncTasks(const SyncConfig& config, const GradientSync& gradient,
 void AppendSyncTasksOver(const SyncConfig& config, const GradientSync& gradient,
                          const std::vector<int>& nodes, TaskGraph* graph);
 
+// Full-strength variant for a job that owns the physical nodes `nodes`
+// (one job of a shared cluster): the same remap, partitions unclamped.
+void AppendSyncTasksOn(const SyncConfig& config, const GradientSync& gradient,
+                       const std::vector<int>& nodes, TaskGraph* graph);
+
 void AppendPsSyncTasks(const SyncConfig& config, const GradientSync& gradient,
                        TaskGraph* graph);
 void AppendRingSyncTasks(const SyncConfig& config,

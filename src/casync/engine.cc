@@ -103,6 +103,17 @@ void CaSyncEngine::ApplyCodec(const std::string& algorithm, CodecImpl impl,
   auditor_.SetPrediction(CostPrimitive::kDecode, codec_speed_.decode);
 }
 
+std::vector<int> CaSyncEngine::LiveNodes(const std::vector<int>& nodes) const {
+  std::vector<int> live;
+  live.reserve(nodes.size());
+  for (const int node : nodes) {
+    if (!node_failed_[node]) {
+      live.push_back(node);
+    }
+  }
+  return live;
+}
+
 void CaSyncEngine::ReviveNode(int node) {
   CHECK(Idle()) << "rejoin with task graphs in flight: active graphs were "
                    "built over the pre-rejoin membership";

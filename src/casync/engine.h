@@ -83,6 +83,8 @@ class CaSyncEngine {
   // Nodes declared failed by the reliable transport, in detection order.
   const std::vector<int>& failed_nodes() const { return failed_nodes_; }
   bool node_failed(int node) const { return node_failed_[node]; }
+  // The members of `nodes` not declared failed, in order.
+  std::vector<int> LiveNodes(const std::vector<int>& nodes) const;
 
   // Clears the failed mark on `node` — the crash-rejoin path: the
   // membership layer re-admits the node at an iteration boundary after its

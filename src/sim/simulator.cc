@@ -4,6 +4,8 @@
 #include <bit>
 #include <chrono>
 
+#include "src/common/metrics.h"
+
 namespace hipress {
 namespace {
 
@@ -441,6 +443,16 @@ void Simulator::DrainAll() {
   }
   spill_queue_.clear();
   queued_ = 0;
+}
+
+void Simulator::PublishHealth(MetricsRegistry* metrics) const {
+  metrics->gauge("sim.events_processed")
+      .Set(static_cast<double>(events_processed_));
+  metrics->gauge("sim.events_per_wall_second").Set(events_per_wall_second());
+  metrics->gauge("sim.queue_peak_depth")
+      .Set(static_cast<double>(queue_peak_depth_));
+  metrics->gauge("sim.sched_pool_misses")
+      .Set(static_cast<double>(sched_pool_misses_));
 }
 
 }  // namespace hipress

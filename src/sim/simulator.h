@@ -37,6 +37,8 @@
 
 namespace hipress {
 
+class MetricsRegistry;
+
 class Simulator {
  public:
   Simulator();
@@ -98,6 +100,9 @@ class Simulator {
                ? static_cast<double>(events_processed_) / run_wall_seconds_
                : 0.0;
   }
+  // Sets the run's "sim.events_processed", "sim.events_per_wall_second",
+  // "sim.queue_peak_depth" and "sim.sched_pool_misses" gauges.
+  void PublishHealth(MetricsRegistry* metrics) const;
 
  private:
   // One pending event. Records live in slab arenas and never move, so the

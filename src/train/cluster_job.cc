@@ -5,60 +5,28 @@
 #include <memory>
 #include <utility>
 
-#include "src/casync/builder.h"
 #include "src/casync/engine.h"
-#include "src/casync/secopa.h"
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/compress/registry.h"
-#include "src/compress/speed_profile.h"
 #include "src/models/model_profile.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
 #include "src/simgpu/gpu.h"
 #include "src/strategies/presets.h"
+#include "src/train/job_driver.h"
 
 namespace hipress {
 namespace {
-
-// Mirrors trainer.cc's SyncUnit: one gradient (or ring fusion bucket).
-struct JobUnit {
-  uint64_t bytes = 0;
-  SimTime ready_offset = 0;  // from backward start, incl. local aggregation
-  GradientSync plan;
-};
-
-SimTime JobLocalAggregationTime(uint64_t bytes, const SyncConfig& config) {
-  const int g = config.gpus_per_node;
-  if (g <= 1) {
-    return 0;
-  }
-  const double volume = 2.0 * (g - 1) / g * static_cast<double>(bytes);
-  return FromMicros(20.0) +
-         static_cast<SimTime>(volume / config.intra_node_bytes_per_sec *
-                              static_cast<double>(kSecond));
-}
 
 // Everything one job needs while the shared simulator runs. Stable address
 // (held by unique_ptr) because simulator callbacks capture `Job*`.
 struct Job {
   ClusterJobSpec spec;
   std::string prefix;
-  std::vector<int> nodes;
-  // plan_config sizes the strategy over the job (num_nodes = job size);
-  // engine_config addresses the shared cluster (num_nodes = total) so the
-  // remapped physical node ids in the task graphs stay in range.
-  SyncConfig plan_config;
-  SyncConfig engine_config;
-  SimTime forward = 0;
-  SimTime compute_time = 0;
   int batch_per_gpu = 0;
-  std::vector<JobUnit> units;
   std::unique_ptr<CaSyncEngine> engine;
-  std::unique_ptr<AdaptiveController> adaptive;
-  std::vector<std::unique_ptr<TaskGraph>> graphs;
+  std::unique_ptr<JobDriver> driver;
   int iteration = 0;
-  size_t remaining = 0;
   SimTime iter_start = 0;
   ClusterJobReport report;
 };
@@ -153,10 +121,8 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   }
 
   // -------------------------------------------------------------------
-  // Per-job setup: configs, plans, units, engine, adaptive ladder. This
-  // mirrors SimulateTraining's planning path exactly (same codec rates,
-  // same SeCoPa scan, same fusion rules) so a solo job here reproduces the
-  // single-job trainer's schedule.
+  // Per-job setup: config, engine, and the same JobDriver SimulateTraining
+  // runs, so a solo job here reproduces the single-job trainer's schedule.
   // -------------------------------------------------------------------
   std::vector<std::unique_ptr<Job>> jobs;
   jobs.reserve(static_cast<size_t>(num_jobs));
@@ -166,170 +132,38 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
     job->spec = spec;
     job->prefix =
         spec.name.empty() ? StrFormat("job%d", k) : spec.name;
-    job->nodes = assignment[static_cast<size_t>(k)];
 
+    // The driver plans over the job (num_nodes = job size); the engine
+    // addresses the shared cluster (num_nodes = total) so the physical
+    // node ids in the job's task graphs stay in range.
     ClusterSpec job_cluster = options.cluster;
     job_cluster.num_nodes = nodes_per_job;
-    ASSIGN_OR_RETURN(job->plan_config,
+    ASSIGN_OR_RETURN(const SyncConfig config,
                      MakeSystemConfig(spec.system, job_cluster,
                                       spec.algorithm, spec.codec_params));
-    job->engine_config = job->plan_config;
-    job->engine_config.num_nodes = total_nodes;
-    if (spec.adaptive.enabled &&
-        (!job->plan_config.compression || !job->plan_config.secopa)) {
-      return InvalidArgumentError(StrFormat(
-          "%s: adaptive compression re-plans the SeCoPa cutoffs; enable "
-          "compression with secopa",
-          job->prefix.c_str()));
-    }
-
+    SyncConfig engine_config = config;
+    engine_config.num_nodes = total_nodes;
     ASSIGN_OR_RETURN(const ModelProfile model, GetModelProfile(spec.model));
-    if (model.gradient_bytes.empty()) {
-      return InvalidArgumentError(
-          StrFormat("%s: model has no gradients", job->prefix.c_str()));
-    }
-    const SyncConfig& config = job->plan_config;
-    const double compute_scale = ComputeScale(config.platform);
-    job->forward = static_cast<SimTime>(
-        static_cast<double>(model.forward_time_v100) / compute_scale);
-    job->compute_time =
-        job->forward + static_cast<SimTime>(static_cast<double>(
-                                                model.backward_time_v100) /
-                                            compute_scale);
     job->batch_per_gpu = model.batch_per_gpu;
-
-    double rate = 1.0;
-    if (config.compression) {
-      const std::string codec_name =
-          config.codec_impl == CodecImpl::kCompLL
-              ? config.algorithm
-              : (CompressorRegistry::Instance().Contains("oss-" +
-                                                         config.algorithm)
-                     ? "oss-" + config.algorithm
-                     : config.algorithm);
-      ASSIGN_OR_RETURN(auto codec,
-                       CreateCompressor(codec_name, config.codec_params));
-      rate = codec->CompressionRate(1 << 20);
-    }
-    SeCoPaPlanner planner(config, rate);
-    auto plan_gradient = [&](uint32_t id, uint64_t bytes) {
-      GradientSync sync;
-      sync.id = id;
-      sync.bytes = bytes;
-      sync.rate = rate;
-      if (!config.compression) {
-        sync.compress = false;
-        sync.partitions =
-            config.strategy == StrategyKind::kRing
-                ? std::min<int>(config.num_nodes,
-                                std::max<int>(
-                                    1, static_cast<int>(bytes /
-                                                        (256 * 1024))))
-                : std::max<int>(1, static_cast<int>(
-                                       bytes / config.ps_partition_bytes));
-        sync.partitions = std::max(1, sync.partitions);
-        return sync;
-      }
-      if (config.secopa) {
-        const SyncPlan plan = planner.Plan(bytes);
-        sync.compress = plan.compress;
-        sync.partitions = plan.partitions;
-        return sync;
-      }
-      sync.compress = true;
-      sync.partitions =
-          config.strategy == StrategyKind::kRing
-              ? std::min({config.num_nodes,
-                          std::max(1, config.fixed_partitions),
-                          std::max<int>(1, static_cast<int>(bytes /
-                                                            (256 * 1024)))})
-              : std::max<int>(1, static_cast<int>(
-                                     bytes / config.ps_partition_bytes));
-      return sync;
-    };
-
-    if (config.ring_fusion_bytes > 0 &&
-        config.strategy == StrategyKind::kRing) {
-      uint64_t bucket_bytes = 0;
-      SimTime bucket_ready = 0;
-      uint32_t bucket_id = 0;
-      auto flush = [&]() {
-        if (bucket_bytes == 0) {
-          return;
-        }
-        JobUnit unit;
-        unit.bytes = bucket_bytes;
-        unit.ready_offset =
-            bucket_ready + JobLocalAggregationTime(bucket_bytes, config);
-        unit.plan = plan_gradient(bucket_id++, bucket_bytes);
-        job->units.push_back(unit);
-        bucket_bytes = 0;
-        bucket_ready = 0;
-      };
-      for (size_t i = 0; i < model.gradient_bytes.size(); ++i) {
-        bucket_bytes += model.gradient_bytes[i];
-        bucket_ready = std::max(
-            bucket_ready, model.GradientReadyOffset(i, compute_scale));
-        if (bucket_bytes >= config.ring_fusion_bytes) {
-          flush();
-        }
-      }
-      flush();
-    } else {
-      for (size_t i = 0; i < model.gradient_bytes.size(); ++i) {
-        JobUnit unit;
-        unit.bytes = model.gradient_bytes[i];
-        unit.ready_offset =
-            model.GradientReadyOffset(i, compute_scale) +
-            JobLocalAggregationTime(unit.bytes, config);
-        unit.plan = plan_gradient(static_cast<uint32_t>(i), unit.bytes);
-        job->units.push_back(unit);
-      }
-    }
-
-    if (spec.adaptive.enabled) {
-      std::vector<AdaptiveCodecOption> ladder;
-      AdaptiveCodecOption configured;
-      configured.algorithm = config.algorithm;
-      configured.impl = config.codec_impl;
-      configured.rate = rate;
-      configured.speed = planner.codec_speed();
-      ladder.push_back(configured);
-      for (const std::string& name : spec.adaptive.candidate_algorithms) {
-        if (name == config.algorithm) {
-          continue;
-        }
-        ASSIGN_OR_RETURN(auto codec, CreateCompressor(name, {}));
-        AdaptiveCodecOption option;
-        option.algorithm = name;
-        option.impl = config.codec_impl;
-        option.rate = codec->CompressionRate(1 << 20);
-        option.speed =
-            GetCodecSpeed(name, config.codec_impl, config.platform);
-        ladder.push_back(option);
-      }
-      std::vector<uint64_t> unit_bytes;
-      unit_bytes.reserve(job->units.size());
-      for (const JobUnit& unit : job->units) {
-        unit_bytes.push_back(unit.bytes);
-      }
-      job->adaptive = std::make_unique<AdaptiveController>(
-          config, spec.adaptive, std::move(unit_bytes), std::move(ladder));
-      for (size_t i = 0; i < job->units.size(); ++i) {
-        job->units[i].plan = job->adaptive->plans()[i];
-      }
-    }
-
     // The engine keeps a private registry (metrics = nullptr): "engine.*"
     // counters would otherwise merge across jobs on the shared registry
     // and become unattributable.
     job->engine = std::make_unique<CaSyncEngine>(
-        &sim, &net, gpus, job->engine_config, nullptr, spans.get());
+        &sim, &net, gpus, engine_config, nullptr, spans.get());
+    auto driver = JobDriver::Create(model, config, spec.adaptive,
+                                    options.launch_overhead, &sim,
+                                    job->engine.get(),
+                                    assignment[static_cast<size_t>(k)]);
+    if (!driver.ok()) {
+      return Status(driver.status().code(),
+                    job->prefix + ": " + driver.status().message());
+    }
+    job->driver = std::move(driver).value();
     job->report.name = job->prefix;
     job->report.model = spec.model;
     job->report.system = spec.system;
-    job->report.nodes = job->nodes;
-    job->report.compute_time = job->compute_time;
+    job->report.nodes = job->driver->nodes();
+    job->report.compute_time = job->driver->compute_time();
     jobs.push_back(std::move(job));
   }
 
@@ -399,33 +233,18 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   std::function<void(Job*)> finish_iteration;
 
   start_iteration = [&](Job* job) {
+    JobDriver& driver = *job->driver;
     job->iter_start = sim.now();
-    job->remaining = job->units.size();
-    job->graphs.clear();
-    for (const int node : job->nodes) {
-      gpus[node]->SubmitCompute(job->compute_time, [] {});
+    for (const int node : driver.nodes()) {
+      gpus[node]->SubmitCompute(driver.compute_time(), [] {});
     }
-    for (const JobUnit& unit : job->units) {
-      auto graph = std::make_unique<TaskGraph>();
-      AppendSyncTasksOver(job->plan_config, unit.plan, job->nodes,
-                          graph.get());
-      TaskGraph* graph_ptr = graph.get();
-      job->graphs.push_back(std::move(graph));
-      const SimTime launch_offset =
-          job->forward + unit.ready_offset + options.launch_overhead;
-      sim.Schedule(launch_offset, [&, job, graph_ptr] {
-        job->engine->Execute(graph_ptr, [&, job] {
-          if (--job->remaining > 0) {
-            return;
-          }
-          // Barrier: the iteration ends when the last sync lands AND every
-          // node's compute has finished (compute can outlast small syncs).
-          const SimTime end =
-              std::max(sim.now(), job->iter_start + job->compute_time);
-          sim.ScheduleAt(end, [&, job] { finish_iteration(job); });
-        });
-      });
-    }
+    driver.Launch(driver.nodes(), job->iter_start, 1.0, [&, job] {
+      // Barrier: the iteration ends when the last sync lands AND every
+      // node's compute has finished (compute can outlast small syncs).
+      const SimTime end =
+          std::max(sim.now(), job->iter_start + job->driver->compute_time());
+      sim.ScheduleAt(end, [&, job] { finish_iteration(job); });
+    });
   };
 
   finish_iteration = [&](Job* job) {
@@ -436,7 +255,7 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
                     HistogramBuckets::Exponential(1.0, 2.0, 16))
         .Observe(ToMillis(end - job->iter_start));
     if (flight) {
-      flight->Record(job->nodes.front(), ev_job_iter, end,
+      flight->Record(job->driver->nodes().front(), ev_job_iter, end,
                      static_cast<uint64_t>(job->iteration),
                      static_cast<uint64_t>(end - job->iter_start));
     }
@@ -451,38 +270,17 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
       watchdog->Evaluate(end);
     }
 
-    std::vector<const TaskGraph*> views;
-    views.reserve(job->graphs.size());
-    for (const auto& graph : job->graphs) {
-      views.push_back(graph.get());
-    }
+    // This job's graphs have all completed, so its engine is idle even
+    // while other jobs' traffic is still in flight — adaptive plan swaps
+    // cannot touch in-flight state.
     const IterationAttribution attrib =
-        AttributeIteration(views, job->iter_start, end);
-
+        job->driver->EndIteration(job->iteration, job->iter_start, end);
     const bool last = job->iteration + 1 == job->spec.iterations;
     if (last) {
       job->report.iteration_time = end - job->iter_start;
       job->report.cp_attribution = attrib.attribution;
       job->report.send_share = attrib.attribution.Share(CpCategory::kSend);
     }
-
-    // Adaptive boundary: this job's graphs have all completed, so its
-    // engine is idle even while other jobs' traffic is still in flight —
-    // plan swaps cannot touch in-flight state.
-    if (job->adaptive) {
-      const AdaptiveDecision decision = job->adaptive->Observe(
-          job->iteration, attrib.attribution, job->engine->auditor());
-      if (decision.replanned) {
-        for (size_t i = 0; i < job->units.size(); ++i) {
-          job->units[i].plan = job->adaptive->plans()[i];
-        }
-        if (decision.codec_switched) {
-          const AdaptiveCodecOption& codec = job->adaptive->active_codec();
-          job->engine->ApplyCodec(codec.algorithm, codec.impl, codec.speed);
-        }
-      }
-    }
-    job->graphs.clear();
 
     if (job->iteration == 0 && ++jobs_warm == num_jobs) {
       // Every pool (scheduler slabs, wire buffers) has now seen a full
@@ -492,8 +290,8 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
     }
     ++job->iteration;
     if (last) {
-      if (job->adaptive) {
-        job->report.adaptive = job->adaptive->Report();
+      if (job->driver->adaptive() != nullptr) {
+        job->report.adaptive = job->driver->adaptive()->Report();
       }
       ++jobs_done;
       return;
@@ -551,7 +349,7 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
     const double iter_seconds = ToSeconds(job.report.iteration_time);
     if (iter_seconds > 0) {
       job.report.throughput =
-          static_cast<double>(job.nodes.size()) *
+          static_cast<double>(job.driver->nodes().size()) *
           options.cluster.gpus_per_node * job.batch_per_gpu / iter_seconds;
     }
     metrics->gauge(job.prefix + ".iteration_ms_last")
@@ -560,7 +358,7 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
     metrics->gauge(job.prefix + ".cp.share.send")
         .Set(job.report.send_share);
     metrics->gauge(job.prefix + ".nodes")
-        .Set(static_cast<double>(job.nodes.size()));
+        .Set(static_cast<double>(job.driver->nodes().size()));
     if (job.report.adaptive.enabled) {
       metrics->gauge(job.prefix + ".replans")
           .Set(static_cast<double>(job.report.adaptive.replans));
@@ -571,14 +369,7 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   }
   run.replay_fingerprint = fingerprint;
 
-  metrics->gauge("sim.events_processed")
-      .Set(static_cast<double>(run.events_processed));
-  metrics->gauge("sim.events_per_wall_second")
-      .Set(run.events_per_wall_second);
-  metrics->gauge("sim.queue_peak_depth")
-      .Set(static_cast<double>(run.queue_peak_depth));
-  metrics->gauge("sim.sched_pool_misses")
-      .Set(static_cast<double>(run.sched_pool_misses));
+  sim.PublishHealth(metrics.get());
   metrics->gauge("sim.steady_sched_pool_misses")
       .Set(static_cast<double>(run.steady_sched_pool_misses));
   return run;

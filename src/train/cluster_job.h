@@ -14,9 +14,14 @@
 //
 // Each job is a BSP loop chained through simulator events (no per-iteration
 // drain — jobs progress concurrently at their own pace): compute on every
-// job node, per-unit sync graphs built over the job's global node ids via
-// AppendSyncTasksOver, a barrier when the last unit lands, then the next
-// iteration. Per-job results surface both in ClusterJobReport and as
+// job node, then the same JobDriver (job_driver.h) SimulateTraining runs
+// plans and launches the job's sync graphs over its global node ids, a
+// barrier when the last unit lands, then the next iteration. A solo job
+// therefore matches the single-job trainer exactly, with one difference:
+// the shared fabric takes options.cluster.net, so per-system NetworkConfig
+// changes made for a single job (MakeSystemConfig's 0.85 NCCL factor for
+// ring, WithoutRdma under HiPressOptions::disable_rdma) do not reach
+// cluster jobs. Per-job results surface both in ClusterJobReport and as
 // "job<k>.*" gauges on the shared registry.
 #ifndef HIPRESS_SRC_TRAIN_CLUSTER_JOB_H_
 #define HIPRESS_SRC_TRAIN_CLUSTER_JOB_H_

@@ -2,39 +2,17 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
-#include "src/casync/builder.h"
-#include "src/casync/engine.h"
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/compress/registry.h"
 #include "src/net/membership.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
+#include "src/train/job_driver.h"
 
 namespace hipress {
 namespace {
-
-// One gradient (or Horovod-style fusion bucket) to synchronize.
-struct SyncUnit {
-  uint64_t bytes = 0;
-  SimTime ready_offset = 0;  // from backward start, incl. local aggregation
-  int members = 1;           // gradients fused into this unit
-  GradientSync plan;
-};
-
-// Intra-node aggregation across the node's `g` GPUs over NVLink/PCIe:
-// ring reduce-scatter + allgather inside the node.
-SimTime LocalAggregationTime(uint64_t bytes, const SyncConfig& config) {
-  const int g = config.gpus_per_node;
-  if (g <= 1) {
-    return 0;
-  }
-  const double volume = 2.0 * (g - 1) / g * static_cast<double>(bytes);
-  return FromMicros(20.0) +
-         static_cast<SimTime>(volume / config.intra_node_bytes_per_sec *
-                              static_cast<double>(kSecond));
-}
 
 // Static feasibility walk over the crash + membership schedule: joins only
 // admit non-members, leaves only remove members, rejoins need a prior
@@ -140,9 +118,6 @@ Status ValidateMembershipSchedule(int num_nodes, const FaultConfig& faults) {
 StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
                                        const SyncConfig& config,
                                        const TrainOptions& options) {
-  if (model.gradient_bytes.empty()) {
-    return InvalidArgumentError("model has no gradients");
-  }
   if (config.num_nodes < 1) {
     return InvalidArgumentError("need at least one node");
   }
@@ -163,177 +138,11 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       return schedule_ok;
     }
   }
-  if (options.adaptive.enabled) {
-    if (!config.compression || !config.secopa) {
-      return InvalidArgumentError(
-          "adaptive compression re-plans the SeCoPa cutoffs; enable "
-          "compression with secopa");
-    }
-    if (options.staleness > 0 || config.sequential_collectives) {
-      return InvalidArgumentError(
-          "adaptive compression swaps plans at BSP iteration boundaries; "
-          "it requires staleness == 0 and concurrent collectives");
-    }
-  }
-
-  const double compute_scale = ComputeScale(config.platform);
-  const SimTime forward = static_cast<SimTime>(
-      static_cast<double>(model.forward_time_v100) / compute_scale);
-  const SimTime backward = static_cast<SimTime>(
-      static_cast<double>(model.backward_time_v100) / compute_scale);
-  const SimTime compute_time = forward + backward;
-  // Straggler: its shard gates every gradient's aggregation, so sync
-  // launches follow the slow node's timeline and the barrier waits for its
-  // compute.
-  const bool has_straggler = options.straggler_node >= 0 &&
-                             options.straggler_node < config.num_nodes &&
-                             options.straggler_factor > 1.0;
-  const double launch_stretch =
-      has_straggler ? options.straggler_factor : 1.0;
-  const SimTime slowest_compute = static_cast<SimTime>(
-      static_cast<double>(compute_time) * launch_stretch);
-
-  // ---------------------------------------------------------------------
-  // Per-gradient plans. SeCoPa consults the cost model; baselines compress
-  // everything (or nothing) with their fixed partitioning rules.
-  // ---------------------------------------------------------------------
-  double rate = 1.0;
-  if (config.compression) {
-    // Rate comes from the real codec so sparse ratios and quantization
-    // bitwidths flow through to wire sizes.
-    const std::string codec_name =
-        config.codec_impl == CodecImpl::kCompLL
-            ? config.algorithm
-            : (CompressorRegistry::Instance().Contains("oss-" +
-                                                       config.algorithm)
-                   ? "oss-" + config.algorithm
-                   : config.algorithm);
-    ASSIGN_OR_RETURN(auto codec,
-                     CreateCompressor(codec_name, config.codec_params));
-    rate = codec->CompressionRate(1 << 20);
-  }
-  SeCoPaPlanner planner(config, rate);
-
-  auto plan_gradient = [&](uint32_t id, uint64_t bytes) {
-    GradientSync sync;
-    sync.id = id;
-    sync.bytes = bytes;
-    sync.rate = rate;
-    if (!config.compression) {
-      sync.compress = false;
-      sync.partitions =
-          config.strategy == StrategyKind::kRing
-              ? std::min<int>(config.num_nodes,
-                              std::max<int>(1, static_cast<int>(
-                                                   bytes / (256 * 1024))))
-              : std::max<int>(1, static_cast<int>(
-                                     bytes / config.ps_partition_bytes));
-      sync.partitions = std::max(1, sync.partitions);
-      return sync;
-    }
-    if (config.secopa) {
-      const SyncPlan plan = planner.Plan(bytes);
-      sync.compress = plan.compress;
-      sync.partitions = plan.partitions;
-      return sync;
-    }
-    // Compression without SeCoPa: compress everything. PS baselines keep
-    // their size-based slicing (BytePS compresses per 4 MB slice); ring
-    // baselines use natural ring chunking, capped so small gradients are
-    // not shredded into sub-header chunks.
-    sync.compress = true;
-    sync.partitions =
-        config.strategy == StrategyKind::kRing
-            ? std::min({config.num_nodes, std::max(1, config.fixed_partitions),
-                        std::max<int>(1, static_cast<int>(bytes /
-                                                          (256 * 1024)))})
-            : std::max<int>(1, static_cast<int>(
-                                   bytes / config.ps_partition_bytes));
-    return sync;
-  };
-
-  // ---------------------------------------------------------------------
-  // Sync units: per gradient, or per fusion bucket for Horovod-style ring.
-  // ---------------------------------------------------------------------
-  std::vector<SyncUnit> units;
-  if (config.ring_fusion_bytes > 0 &&
-      config.strategy == StrategyKind::kRing) {
-    uint64_t bucket_bytes = 0;
-    SimTime bucket_ready = 0;
-    uint32_t bucket_id = 0;
-    int bucket_members = 0;
-    auto flush = [&]() {
-      if (bucket_bytes == 0) {
-        return;
-      }
-      SyncUnit unit;
-      unit.bytes = bucket_bytes;
-      unit.ready_offset = bucket_ready + LocalAggregationTime(bucket_bytes, config);
-      unit.members = bucket_members;
-      unit.plan = plan_gradient(bucket_id++, bucket_bytes);
-      units.push_back(unit);
-      bucket_bytes = 0;
-      bucket_ready = 0;
-      bucket_members = 0;
-    };
-    for (size_t i = 0; i < model.gradient_bytes.size(); ++i) {
-      bucket_bytes += model.gradient_bytes[i];
-      ++bucket_members;
-      bucket_ready =
-          std::max(bucket_ready, model.GradientReadyOffset(i, compute_scale));
-      if (bucket_bytes >= config.ring_fusion_bytes) {
-        flush();
-      }
-    }
-    flush();
-  } else {
-    for (size_t i = 0; i < model.gradient_bytes.size(); ++i) {
-      SyncUnit unit;
-      unit.bytes = model.gradient_bytes[i];
-      unit.ready_offset = model.GradientReadyOffset(i, compute_scale) +
-                          LocalAggregationTime(unit.bytes, config);
-      unit.plan = plan_gradient(static_cast<uint32_t>(i), unit.bytes);
-      units.push_back(unit);
-    }
-  }
-
-  // ---------------------------------------------------------------------
-  // Adaptive controller: candidate codec ladder + initial plans. Rung 0 is
-  // the configured codec at the configured bandwidth, so the initial plans
-  // are exactly the fixed plans above; the controller only diverges once a
-  // decision triggers.
-  // ---------------------------------------------------------------------
-  std::unique_ptr<AdaptiveController> adaptive;
-  if (options.adaptive.enabled) {
-    std::vector<AdaptiveCodecOption> ladder;
-    AdaptiveCodecOption configured;
-    configured.algorithm = config.algorithm;
-    configured.impl = config.codec_impl;
-    configured.rate = rate;
-    configured.speed = planner.codec_speed();
-    ladder.push_back(configured);
-    for (const std::string& name : options.adaptive.candidate_algorithms) {
-      if (name == config.algorithm) {
-        continue;
-      }
-      ASSIGN_OR_RETURN(auto codec, CreateCompressor(name, {}));
-      AdaptiveCodecOption option;
-      option.algorithm = name;
-      option.impl = config.codec_impl;
-      option.rate = codec->CompressionRate(1 << 20);
-      option.speed = GetCodecSpeed(name, config.codec_impl, config.platform);
-      ladder.push_back(option);
-    }
-    std::vector<uint64_t> unit_bytes;
-    unit_bytes.reserve(units.size());
-    for (const SyncUnit& unit : units) {
-      unit_bytes.push_back(unit.bytes);
-    }
-    adaptive = std::make_unique<AdaptiveController>(
-        config, options.adaptive, std::move(unit_bytes), std::move(ladder));
-    for (size_t i = 0; i < units.size(); ++i) {
-      units[i].plan = adaptive->plans()[i];
-    }
+  if (options.adaptive.enabled &&
+      (options.staleness > 0 || config.sequential_collectives)) {
+    return InvalidArgumentError(
+        "adaptive compression swaps plans at BSP iteration boundaries; "
+        "it requires staleness == 0 and concurrent collectives");
   }
 
   // ---------------------------------------------------------------------
@@ -359,6 +168,24 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
     gpus.push_back(gpu_storage.back().get());
   }
   CaSyncEngine engine(&sim, &net, gpus, config, metrics.get(), spans.get());
+  std::vector<int> all_nodes(static_cast<size_t>(config.num_nodes));
+  std::iota(all_nodes.begin(), all_nodes.end(), 0);
+  ASSIGN_OR_RETURN(std::unique_ptr<JobDriver> driver,
+                   JobDriver::Create(model, config, options.adaptive,
+                                     options.launch_overhead, &sim, &engine,
+                                     all_nodes));
+  const AdaptiveController* adaptive = driver->adaptive();
+  const SimTime compute_time = driver->compute_time();
+  // Straggler: its shard gates every gradient's aggregation, so BSP sync
+  // launches follow the slow node's timeline and the barrier waits for its
+  // compute.
+  const bool has_straggler = options.straggler_node >= 0 &&
+                             options.straggler_node < config.num_nodes &&
+                             options.straggler_factor > 1.0;
+  const double launch_stretch =
+      has_straggler ? options.straggler_factor : 1.0;
+  const SimTime slowest_compute = static_cast<SimTime>(
+      static_cast<double>(compute_time) * launch_stretch);
 
   // Always-on black box (docs/OBSERVABILITY.md): every net send/delivery,
   // transport retry, iteration boundary and membership transition appends a
@@ -386,8 +213,6 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
     FlightRecorder::InstallGlobal(flight.get());
   }
 
-  // Pre-build one task graph per unit; graphs are reusable templates but
-  // dependency counters mutate during execution, so build per iteration.
   TrainReport report;
   report.compute_time = compute_time;
   report.total_gpus = config.num_nodes * config.gpus_per_node;
@@ -413,6 +238,8 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
   // wire path (batch frames, retransmit payloads, staging copies).
   Gauge& step_wire_pool_misses = metrics->gauge("net.step_pool_misses");
   auto finalize_observability = [&] {
+    report.recoveries = driver->recoveries();
+    recoveries_counter.Increment(report.recoveries);
     report.iteration_p50_ms = iteration_ms.Quantile(0.5);
     report.iteration_p95_ms = iteration_ms.Quantile(0.95);
     report.iteration_p99_ms = iteration_ms.Quantile(0.99);
@@ -439,14 +266,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
     // Scheduler health (docs/TOPOLOGY.md): event volume, sustained event
     // rate and peak queue depth of the run, plus pool misses — the
     // calendar-queue arena should stop allocating once warm.
-    metrics->gauge("sim.events_processed")
-        .Set(static_cast<double>(sim.events_processed()));
-    metrics->gauge("sim.events_per_wall_second")
-        .Set(sim.events_per_wall_second());
-    metrics->gauge("sim.queue_peak_depth")
-        .Set(static_cast<double>(sim.queue_peak_depth()));
-    metrics->gauge("sim.sched_pool_misses")
-        .Set(static_cast<double>(sim.sched_pool_misses()));
+    sim.PublishHealth(metrics.get());
     if (flight) {
       flight->PublishMetrics(metrics.get());
       if (!options.observability.flight_dump_path.empty()) {
@@ -472,63 +292,19 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
   if (options.staleness > 0) {
     const int total_iterations = std::max(options.iterations,
                                           options.staleness + 3);
-    struct SspState {
-      std::vector<bool> sync_done;
-      std::vector<SimTime> iteration_end;  // sync completion time
-      int started = 0;
-    };
-    SspState state;
-    state.sync_done.assign(total_iterations, false);
-    state.iteration_end.assign(total_iterations, 0);
-    std::vector<std::unique_ptr<TaskGraph>> all_graphs;
-
-    // Ordered-collectives chain (Horovod semantics hold across iterations
-    // too): a unit executes only after every earlier unit finished AND its
-    // own gradients are ready.
-    struct SequentialChain {
-      struct Entry {
-        TaskGraph* graph = nullptr;
-        SimTime negotiation = 0;
-        std::function<void()> on_done;
-        bool ready = false;
-      };
-      std::vector<Entry> entries;
-      size_t next = 0;
-      bool in_flight = false;
-    };
-    auto chain = std::make_shared<SequentialChain>();
-    // Entries are referenced while in flight; pre-reserve so later
-    // iterations' pushes never reallocate.
-    chain->entries.reserve(static_cast<size_t>(total_iterations) *
-                           units.size());
-    auto chain_pump = std::make_shared<std::function<void()>>();
-    *chain_pump = [&engine, &sim, chain, chain_pump] {
-      if (chain->in_flight || chain->next >= chain->entries.size() ||
-          !chain->entries[chain->next].ready) {
-        return;
-      }
-      chain->in_flight = true;
-      auto& entry = chain->entries[chain->next];
-      ++chain->next;
-      sim.Schedule(entry.negotiation, [&engine, &entry, chain, chain_pump] {
-        engine.Execute(entry.graph, [&entry, chain, chain_pump] {
-          chain->in_flight = false;
-          if (entry.on_done) {
-            entry.on_done();
-          }
-          (*chain_pump)();
-        });
-      });
-    };
-
+    std::vector<bool> sync_done(static_cast<size_t>(total_iterations), false);
+    // Sync completion time per iteration.
+    std::vector<SimTime> iteration_end(static_cast<size_t>(total_iterations),
+                                       0);
+    int started = 0;
     std::function<void()> start_ready_iterations = [&] {
-      while (state.started < total_iterations) {
-        const int k = state.started;
+      while (started < total_iterations) {
+        const int k = started;
         const int gate = k - 1 - options.staleness;
-        if (gate >= 0 && !state.sync_done[gate]) {
+        if (gate >= 0 && !sync_done[gate]) {
           return;
         }
-        ++state.started;
+        ++started;
         // Compute queues FIFO on the device; its actual start time is the
         // stream's free time, which all launch offsets key off.
         const SimTime compute_start =
@@ -537,48 +313,20 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
         for (int node = 0; node < config.num_nodes; ++node) {
           gpus[node]->SubmitCompute(compute_time, [] {});
         }
-        auto remaining = std::make_shared<size_t>(units.size());
-        auto unit_done = [remaining, k, &state, &sim,
-                          &start_ready_iterations] {
-          if (--*remaining == 0) {
-            state.sync_done[k] = true;
-            state.iteration_end[k] = sim.now();
-            start_ready_iterations();
-          }
-        };
-        for (const SyncUnit& unit : units) {
-          auto graph = std::make_unique<TaskGraph>();
-          AppendSyncTasks(config, unit.plan, graph.get());
-          TaskGraph* graph_ptr = graph.get();
-          all_graphs.push_back(std::move(graph));
-          const SimTime launch_at = compute_start + forward +
-                                    unit.ready_offset +
-                                    options.launch_overhead;
-          if (config.sequential_collectives) {
-            chain->entries.push_back(SequentialChain::Entry{
-                graph_ptr, unit.members * config.per_gradient_negotiation,
-                unit_done, false});
-            const size_t index = chain->entries.size() - 1;
-            sim.ScheduleAt(std::max(launch_at, sim.now()),
-                           [chain, index, chain_pump] {
-              chain->entries[index].ready = true;
-              (*chain_pump)();
-            });
-            continue;
-          }
-          sim.ScheduleAt(std::max(launch_at, sim.now()),
-                         [&engine, graph_ptr, unit_done] {
-            engine.Execute(graph_ptr, unit_done);
-          });
-        }
+        // Launches are un-stretched here: the straggler only paces BSP.
+        driver->Launch(all_nodes, compute_start, 1.0, [&, k] {
+          sync_done[k] = true;
+          iteration_end[k] = sim.now();
+          start_ready_iterations();
+        });
       }
     };
     sim.Schedule(0, start_ready_iterations);
     sim.Run();
 
     // Steady-state average over the pipelined window (skip iteration 0).
-    const SimTime first_end = state.iteration_end[0];
-    const SimTime last_end = state.iteration_end[total_iterations - 1];
+    const SimTime first_end = iteration_end[0];
+    const SimTime last_end = iteration_end[total_iterations - 1];
     const SimTime average =
         (last_end - first_end) / (total_iterations - 1);
     report.iteration_time = average;
@@ -592,7 +340,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
     for (int k = 1; k < total_iterations; ++k) {
       iterations_counter.Increment();
       iteration_ms.Observe(
-          ToMillis(state.iteration_end[k] - state.iteration_end[k - 1]));
+          ToMillis(iteration_end[k] - iteration_end[k - 1]));
     }
     report.engine_stats = engine.stats();
     finalize_observability();
@@ -656,23 +404,6 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       "membership.drain_ms", HistogramBuckets::Exponential(0.125, 2.0, 16));
   ReliableChannel* channel = engine.reliable_channel();
 
-  // Re-price every unit's <compress?, K> over a live view of `live_nodes`
-  // members (the SeCoPa cost terms and 2N partition cap depend on the
-  // view size). The adaptive controller owns this when enabled.
-  SyncConfig elastic_config = config;
-  auto replan_units = [&](int live_nodes) {
-    if (!config.compression || !config.secopa) {
-      return;
-    }
-    elastic_config.num_nodes = live_nodes;
-    const SeCoPaPlanner live_planner(elastic_config, rate);
-    for (SyncUnit& unit : units) {
-      const SyncPlan plan = live_planner.Plan(unit.bytes);
-      unit.plan.compress = plan.compress;
-      unit.plan.partitions = plan.partitions;
-    }
-  };
-
   // Ships `bytes` of state from src to dst over the pooled wire path
   // (ReliableChannel when present — always, under fault injection) and
   // runs the simulator to quiescence; returns the transfer's duration.
@@ -726,7 +457,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
   // Applies crash evictions and due membership events at an iteration
   // boundary, then re-plans over the new view, advances the channel
   // epoch, and trims the wire pool when the view shrank.
-  auto process_boundary = [&](SimTime boundary) {
+  auto process_boundary = [&](SimTime boundary) -> Status {
     bool changed = false;
     invalidate_crashed(sim.now());
     // Crash detections from the reliable transport become membership
@@ -789,7 +520,14 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
           if (is_rejoin && membership.is_member(event.node)) {
             // The crash this rejoin answers was never detected (no traffic
             // touched the corpse); evict it first so the epoch history
-            // reflects the full crash->rejoin cycle.
+            // reflects the full crash->rejoin cycle. When false transport
+            // blames have already evicted everyone else, nobody is left to
+            // re-sync it from.
+            if (membership.size() <= 1) {
+              return UnavailableError(StrFormat(
+                  "rejoin of node %d: no live donor left to re-sync from",
+                  event.node));
+            }
             membership.Remove(event.node, MembershipChange::kCrash,
                               sim.now());
           }
@@ -830,7 +568,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       }
     }
     if (!changed) {
-      return;
+      return OkStatus();
     }
     const int old_size = static_cast<int>(current_members.size());
     current_members = membership.members();
@@ -843,15 +581,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       // Messages stamped under the old view are now stale on delivery.
       channel->set_epoch(membership.epoch());
     }
-    if (adaptive) {
-      if (adaptive->OnMembershipChange(new_size)) {
-        for (size_t i = 0; i < units.size(); ++i) {
-          units[i].plan = adaptive->plans()[i];
-        }
-      }
-    } else if (new_size != old_size) {
-      replan_units(new_size);
-    }
+    driver->OnMembershipChange(old_size, new_size);
     if (new_size < old_size) {
       // Shrunken view: release the wire pool's peak-size buckets but keep
       // the proportional warm share so the smaller cluster stays miss-free
@@ -862,6 +592,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
                           static_cast<size_t>(old_size);
       pool_trimmed_counter.Increment(net.wire_pool()->Trim(keep));
     }
+    return OkStatus();
   };
 
   // Windowed telemetry + health watchdog (docs/OBSERVABILITY.md): series
@@ -900,14 +631,8 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
   SimTime measured_sync_tail = 0;
   SimTime measured_sync_span = 0;
 
-  std::vector<std::unique_ptr<TaskGraph>> graphs;
   for (int iteration = 0; iteration < options.iterations; ++iteration) {
-    graphs.clear();
-    size_t remaining = units.size();
     SimTime iteration_end = 0;
-    // First failure detection this iteration (-1: none); closes the
-    // recovery window when the degraded BSP barrier completes.
-    SimTime recovery_started_at = -1;
     const SimTime uplink_busy_before = net.uplink_busy(0);
     const SimTime downlink_busy_before = net.downlink_busy(0);
     const EngineStats stats_before = engine.stats();
@@ -919,7 +644,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
     // Membership transitions apply here, between iterations: the engine is
     // idle, so evictions, drains and donor re-syncs cannot race in-flight
     // graphs. Re-sync wire time pushes the boundary out.
-    process_boundary(iter_start);
+    RETURN_IF_ERROR(process_boundary(iter_start));
     iter_start = std::max(iter_start, sim.now());
     if (flight) {
       flight->Record(0, ev_iter_start, iter_start,
@@ -935,15 +660,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       // The current membership view, minus any node the transport declared
       // failed since the boundary; failed or departed nodes neither compute
       // nor participate in synchronization.
-      std::vector<int> alive;
-      alive.reserve(current_members.size());
-      for (const int node : current_members) {
-        if (!engine.node_failed(node)) {
-          alive.push_back(node);
-        }
-      }
-      const bool full_strength =
-          static_cast<int>(alive.size()) == config.num_nodes;
+      std::vector<int> alive = engine.LiveNodes(current_members);
       // Forward + backward occupy the compute stream on every live node.
       for (const int node : alive) {
         const SimTime node_compute =
@@ -954,130 +671,18 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
           rejoined_contrib_counter.Increment();
         }
       }
-      // Build the per-unit sync graphs up front, over the survivors when
-      // already degraded.
-      std::vector<TaskGraph*> graph_ptrs;
-      for (const SyncUnit& unit : units) {
-        auto graph = std::make_unique<TaskGraph>();
-        if (full_strength) {
-          AppendSyncTasks(config, unit.plan, graph.get());
-        } else {
-          AppendSyncTasksOver(config, unit.plan, alive, graph.get());
-        }
-        graph_ptrs.push_back(graph.get());
-        graphs.push_back(std::move(graph));
-      }
-
-      auto complete_one = [&remaining, &sim, &iteration_end] {
-        if (--remaining == 0) {
-          iteration_end = sim.now();
-        }
-      };
-
-      if (!config.sequential_collectives) {
-        // CaSync: every gradient's graph launches the moment it is ready;
-        // graphs execute concurrently and pipeline. A graph cancelled by a
-        // peer failure is rebuilt over the survivors and re-executed, so
-        // the BSP barrier completes degraded instead of hanging.
-        auto execute_unit =
-            std::make_shared<std::function<void(size_t, TaskGraph*)>>();
-        *execute_unit = [&engine, &sim, &config, &units, &graphs, &report,
-                         &recovery_started_at, &recoveries_counter,
-                         &current_members, complete_one,
-                         execute_unit](size_t i, TaskGraph* graph_ptr) {
-          engine.Execute(
-              graph_ptr,
-              [&engine, &sim, &config, &units, &graphs, &report,
-               &recovery_started_at, &recoveries_counter, &current_members,
-               complete_one, execute_unit, i](const Status& status) {
-                if (status.ok()) {
-                  complete_one();
-                  return;
-                }
-                // Peer failure: recovery. Rebuild this unit's topology over
-                // the surviving members and run it again.
-                if (recovery_started_at < 0) {
-                  recovery_started_at = sim.now();
-                }
-                recoveries_counter.Increment();
-                ++report.recoveries;
-                std::vector<int> survivors;
-                for (const int node : current_members) {
-                  if (!engine.node_failed(node)) {
-                    survivors.push_back(node);
-                  }
-                }
-                CHECK_GT(survivors.size(), 0u) << "every node failed";
-                auto rebuilt = std::make_unique<TaskGraph>();
-                AppendSyncTasksOver(config, units[i].plan, survivors,
-                                    rebuilt.get());
-                TaskGraph* rebuilt_ptr = rebuilt.get();
-                graphs.push_back(std::move(rebuilt));
-                (*execute_unit)(i, rebuilt_ptr);
-              });
-        };
-        for (size_t i = 0; i < units.size(); ++i) {
-          const SimTime launch_at = static_cast<SimTime>(
-              static_cast<double>(forward + units[i].ready_offset) *
-              launch_stretch) + options.launch_overhead;
-          TaskGraph* graph_ptr = graph_ptrs[i];
-          sim.Schedule(launch_at, [execute_unit, i, graph_ptr] {
-            (*execute_unit)(i, graph_ptr);
-          });
-        }
-      } else {
-        // Horovod-style ordered collectives: unit i+1 starts only after
-        // unit i's allreduce finished AND its own gradients are ready.
-        struct SequentialState {
-          size_t next = 0;
-          bool in_flight = false;
-          std::vector<bool> ready;
-        };
-        auto state = std::make_shared<SequentialState>();
-        state->ready.assign(units.size(), false);
-        std::vector<SimTime> negotiation;
-        negotiation.reserve(units.size());
-        for (const SyncUnit& unit : units) {
-          negotiation.push_back(unit.members *
-                                config.per_gradient_negotiation);
-        }
-        auto pump = std::make_shared<std::function<void()>>();
-        *pump = [&engine, &sim, graph_ptrs, negotiation, state, complete_one,
-                 pump] {
-          if (state->in_flight || state->next >= graph_ptrs.size() ||
-              !state->ready[state->next]) {
-            return;
-          }
-          state->in_flight = true;
-          const size_t index = state->next;
-          ++state->next;
-          TaskGraph* graph_ptr = graph_ptrs[index];
-          // Per-tensor negotiation happens on the critical path between
-          // collectives (Horovod's coordination cycle).
-          sim.Schedule(negotiation[index],
-                       [&engine, graph_ptr, state, complete_one, pump] {
-            engine.Execute(graph_ptr, [state, complete_one, pump] {
-              state->in_flight = false;
-              complete_one();
-              (*pump)();
-            });
-          });
-        };
-        for (size_t i = 0; i < units.size(); ++i) {
-          const SimTime launch_at = static_cast<SimTime>(
-              static_cast<double>(forward + units[i].ready_offset) *
-              launch_stretch) + options.launch_overhead;
-          sim.Schedule(launch_at, [state, i, pump] {
-            state->ready[i] = true;
-            (*pump)();
-          });
-        }
-      }
+      // Sync graphs over the live nodes, launched on the (straggler-
+      // stretched) timeline of the slowest shard.
+      driver->Launch(std::move(alive), sim.now(), launch_stretch,
+                     [&] { iteration_end = sim.now(); });
     });
 
     sim.Run();
     const SimTime end =
         std::max(iteration_end, iter_start + slowest_compute);
+    // First failure detection this iteration (-1: none); the recovery
+    // window closes when the degraded BSP barrier completes.
+    const SimTime recovery_started_at = driver->recovery_started_at();
     if (recovery_started_at >= 0) {
       // Recovery latency: failure detection to the degraded barrier.
       const SimTime window = end - recovery_started_at;
@@ -1106,34 +711,12 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
             FaultUniform(state_seed, ordinal) - 0.5);
       }
     }
-    // Critical-path attribution of this iteration's window, over every
-    // graph that executed (recovery rebuilds included). The per-category
-    // milliseconds sum to the iteration time by construction.
     {
-      std::vector<const TaskGraph*> views;
-      views.reserve(graphs.size());
-      for (const auto& graph : graphs) {
-        views.push_back(graph.get());
-      }
-      const IterationAttribution attrib =
-          AttributeIteration(views, iter_start, end);
-      StepRecord step;
-      step.iteration = iteration;
-      step.iteration_ms = ToMillis(end - iter_start);
-      step.compute_ms = ToMillis(attrib.attribution[CpCategory::kCompute]);
-      step.encode_ms = ToMillis(attrib.attribution[CpCategory::kEncode]);
-      step.merge_ms = ToMillis(attrib.attribution[CpCategory::kMerge]);
-      step.send_ms = ToMillis(attrib.attribution[CpCategory::kSend]);
-      step.recv_ms = ToMillis(attrib.attribution[CpCategory::kRecv]);
-      step.decode_ms = ToMillis(attrib.attribution[CpCategory::kDecode]);
-      step.wait_ms = ToMillis(attrib.attribution[CpCategory::kWait]);
-      step.path_tasks = static_cast<int>(attrib.path.steps.size());
-      step.degraded = recovery_started_at >= 0;
       // Straggler skew: per-node offset of the last sync-task completion,
       // max minus median across the nodes that synchronized.
       std::vector<SimTime> last_end(static_cast<size_t>(config.num_nodes),
                                     kTaskNeverRan);
-      for (const auto& graph : graphs) {
+      for (const auto& graph : driver->graphs()) {
         for (TaskId id = 0; id < graph->size(); ++id) {
           const SyncTask& task = graph->task(id);
           if (task.node < 0 || task.end_time == kTaskNeverRan) {
@@ -1148,6 +731,7 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
           offsets.push_back(t - iter_start);
         }
       }
+      StepRecord step;
       if (offsets.size() >= 2) {
         std::sort(offsets.begin(), offsets.end());
         const size_t n = offsets.size();
@@ -1156,6 +740,23 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
                        : (offsets[n / 2 - 1] + offsets[n / 2]) / 2;
         step.straggler_skew_ms = ToMillis(offsets.back() - median);
       }
+      // Idle boundary (sim.Run drained): critical-path attribution of this
+      // iteration's window over every graph that executed, recovery
+      // rebuilds included — the per-category milliseconds sum to the
+      // iteration time by construction — then the adaptive decision.
+      const IterationAttribution attrib =
+          driver->EndIteration(iteration, iter_start, end);
+      step.iteration = iteration;
+      step.iteration_ms = ToMillis(end - iter_start);
+      step.compute_ms = ToMillis(attrib.attribution[CpCategory::kCompute]);
+      step.encode_ms = ToMillis(attrib.attribution[CpCategory::kEncode]);
+      step.merge_ms = ToMillis(attrib.attribution[CpCategory::kMerge]);
+      step.send_ms = ToMillis(attrib.attribution[CpCategory::kSend]);
+      step.recv_ms = ToMillis(attrib.attribution[CpCategory::kRecv]);
+      step.decode_ms = ToMillis(attrib.attribution[CpCategory::kDecode]);
+      step.wait_ms = ToMillis(attrib.attribution[CpCategory::kWait]);
+      step.path_tasks = static_cast<int>(attrib.path.steps.size());
+      step.degraded = recovery_started_at >= 0;
       straggler_skew.Set(step.straggler_skew_ms);
       report.steps.push_back(step);
       if (measured) {
@@ -1165,14 +766,8 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
                                spans.get());
         }
       }
-      // Adaptive decision boundary: the engine is idle (sim.Run drained),
-      // so refreshed plans and a codec swap cannot touch in-flight graphs
-      // or pooled wire buffers. The next iteration's graphs are built from
-      // the refreshed units[i].plan.
       if (adaptive) {
-        const AdaptiveDecision decision =
-            adaptive->Observe(iteration, attrib.attribution,
-                              engine.auditor());
+        const AdaptiveDecision& decision = adaptive->decisions().back();
         metrics->gauge("adaptive.send_share").Set(decision.send_share);
         metrics->gauge("adaptive.observed_gbps").Set(decision.observed_gbps);
         metrics->gauge("adaptive.planned_gbps").Set(decision.planned_gbps);
@@ -1182,13 +777,8 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
           metrics->counter("adaptive.replans").Increment();
           metrics->counter("adaptive.replanned_units")
               .Increment(static_cast<uint64_t>(decision.replanned_units));
-          for (size_t i = 0; i < units.size(); ++i) {
-            units[i].plan = adaptive->plans()[i];
-          }
           if (decision.codec_switched) {
             metrics->counter("adaptive.codec_switches").Increment();
-            const AdaptiveCodecOption& codec = adaptive->active_codec();
-            engine.ApplyCodec(codec.algorithm, codec.impl, codec.speed);
           }
           if (spans) {
             spans->Add(0, kTraceLaneAdaptive,
@@ -1261,10 +851,11 @@ StatusOr<TrainReport> SimulateTraining(const ModelProfile& model,
       // Synchronization span: from the first gradient's sync launch to the
       // last gradient's completion (the paper's communication-time metric
       // counts the whole synchronization window, overlapped or not).
-      SimTime first_launch = forward + units[0].ready_offset;
-      for (const SyncUnit& unit : units) {
-        first_launch = std::min(first_launch, forward + unit.ready_offset);
+      SimTime first_launch = driver->units()[0].ready_offset;
+      for (const JobDriver::Unit& unit : driver->units()) {
+        first_launch = std::min(first_launch, unit.ready_offset);
       }
+      first_launch += driver->forward();
       const SimTime sync_end = iteration_end > 0 ? iteration_end : end;
       measured_sync_span =
           std::max<SimTime>(0, sync_end - (iter_start + first_launch));

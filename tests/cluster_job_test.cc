@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "src/models/model_profile.h"
+#include "src/strategies/presets.h"
 #include "src/train/cluster_job.h"
+#include "src/train/trainer.h"
 
 namespace hipress {
 namespace {
@@ -117,6 +122,65 @@ TEST(ClusterJobTest, AdaptiveControllersConvergeWithoutFlapping) {
     EXPECT_EQ(late_actions, 0) << job.name << " still churning at the end";
   }
 }
+
+// A one-job cluster run goes through the same JobDriver as SimulateTraining,
+// so on the same network its per-iteration times must match the trainer's
+// exactly — for the CaSync systems and for the BytePS/Horovod baselines
+// (4 MB slicing, ordered collectives with per-tensor negotiation) they are
+// compared against.
+class SoloJobMatchesTrainerTest
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SoloJobMatchesTrainerTest, PerIterationTimesAreIdentical) {
+  constexpr int kIterations = 3;
+  const std::string system = GetParam();
+  for (const char* model_name : {"resnet50", "vgg19"}) {
+    for (const int nodes : {4, 8}) {
+      SCOPED_TRACE(std::string(model_name) + " x " + std::to_string(nodes));
+      auto model = GetModelProfile(model_name);
+      ASSERT_TRUE(model.ok());
+      auto config = MakeSystemConfig(system, ClusterSpec::Ec2(nodes));
+      ASSERT_TRUE(config.ok()) << config.status();
+      TrainOptions train;
+      train.iterations = kIterations;
+      auto solo = SimulateTraining(*model, *config, train);
+      ASSERT_TRUE(solo.ok()) << solo.status();
+
+      ClusterJobsOptions options;
+      options.cluster = ClusterSpec::Ec2(nodes);
+      options.cluster.net = config->net;
+      ClusterJobSpec spec;
+      spec.model = model_name;
+      spec.system = system;
+      spec.iterations = kIterations;
+      options.jobs.push_back(spec);
+      auto cluster = RunClusterJobs(options);
+      ASSERT_TRUE(cluster.ok()) << cluster.status();
+
+      const std::vector<SimTime>& ends = cluster->jobs[0].iteration_end;
+      ASSERT_EQ(ends.size(), static_cast<size_t>(kIterations));
+      ASSERT_EQ(solo->steps.size(), static_cast<size_t>(kIterations));
+      SimTime previous = 0;
+      for (int i = 0; i < kIterations; ++i) {
+        EXPECT_EQ(ToMillis(ends[i] - previous), solo->steps[i].iteration_ms)
+            << "iteration " << i;
+        previous = ends[i];
+      }
+    }
+  }
+}
+
+std::string SystemTestName(
+    const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Systems, SoloJobMatchesTrainerTest,
+                         ::testing::Values("hipress-ps", "hipress-ring",
+                                           "byteps", "ring", "byteps-oss"),
+                         SystemTestName);
 
 }  // namespace
 }  // namespace hipress

@@ -16,6 +16,7 @@
 #include "src/net/fault.h"
 #include "src/net/network.h"
 #include "src/net/reliable_channel.h"
+#include "src/strategies/presets.h"
 #include "src/train/trainer.h"
 
 namespace hipress {
@@ -466,6 +467,37 @@ TEST(TrainerMembershipTest, MiniChaosSoakConvergesToChurnFreeState) {
   ASSERT_TRUE(churn_free.ok());
   EXPECT_EQ(membership.model_fingerprint,
             churn_free->report.membership.model_fingerprint);
+}
+
+TEST(TrainerMembershipTest, RejoinWithNoLiveDonorReturnsStatus) {
+  // At 10 Gbps with 1% drops, retry-budget blames evict every other member
+  // before node 5's scheduled rejoin. Its own crash was never detected, so
+  // it is the last member of the view and nobody is left to re-sync it:
+  // the run must fail with a Status, not abort on the empty view.
+  ClusterSpec cluster = ClusterSpec::Ec2(8);
+  cluster.net.link_bandwidth = Bandwidth::Gbps(10.0);
+  ChaosOptions chaos;
+  chaos.seed = 221733;
+  chaos.num_nodes = 8;
+  cluster.net.faults = MakeChaosSchedule(chaos);
+  cluster.net.faults.drop_prob = 0.01;
+  cluster.net.faults.seed = 12373;
+  auto config = MakeSystemConfig("hipress-ps", cluster, "fp16");
+  ASSERT_TRUE(config.ok()) << config.status();
+  auto profile = GetModelProfile("vgg19");
+  ASSERT_TRUE(profile.ok());
+  for (const bool adaptive : {false, true}) {
+    TrainOptions options;
+    options.iterations = 10;
+    options.adaptive.enabled = adaptive;
+    options.adaptive.candidate_algorithms = {"terngrad", "onebit"};
+    const auto result = SimulateTraining(*profile, *config, options);
+    ASSERT_FALSE(result.ok()) << "adaptive=" << adaptive;
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+    EXPECT_NE(result.status().message().find("no live donor"),
+              std::string::npos)
+        << result.status();
+  }
 }
 
 TEST(TrainerMembershipTest, RejectsInfeasibleSchedules) {
