@@ -124,14 +124,6 @@ double CostModelAuditor::MeanRelativeError(CostPrimitive primitive) const {
   return stats.sum_rel_err / static_cast<double>(stats.count);
 }
 
-double CostModelAuditor::MeanMeasured(CostPrimitive primitive) const {
-  const PrimitiveStats& stats = stats_[Index(primitive)];
-  if (stats.count == 0) {
-    return 0.0;
-  }
-  return stats.sum_y / static_cast<double>(stats.count);
-}
-
 bool CostModelAuditor::Fit(CostPrimitive primitive, KernelCost* out) const {
   const PrimitiveStats& stats = stats_[Index(primitive)];
   if (stats.count >= 2 && stats.min_bytes == stats.max_bytes) {

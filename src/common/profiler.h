@@ -91,8 +91,6 @@ class CostModelAuditor {
   // Mean over samples of |measured - predicted| / predicted (0 when no
   // samples or no prediction installed).
   double MeanRelativeError(CostPrimitive primitive) const;
-  // Mean measured duration in ns (0 when no samples).
-  double MeanMeasured(CostPrimitive primitive) const;
 
   // Least-squares line fit time = launch_overhead + bytes / throughput
   // over the recorded samples. Returns false when under-determined (fewer

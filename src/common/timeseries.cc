@@ -154,13 +154,4 @@ void TimeSeriesHub::SampleAll(SimTime now) {
   }
 }
 
-std::vector<const WindowedSeries*> TimeSeriesHub::AllSeries() const {
-  std::vector<const WindowedSeries*> out;
-  out.reserve(series_.size());
-  for (const auto& series : series_) {
-    out.push_back(series.get());
-  }
-  return out;
-}
-
 }  // namespace hipress

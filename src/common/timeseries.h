@@ -115,7 +115,6 @@ class TimeSeriesHub {
   // Pulls every attachment once. Called at iteration boundaries.
   void SampleAll(SimTime now);
 
-  std::vector<const WindowedSeries*> AllSeries() const;
   SimTime window_width() const { return options_.window_width; }
 
  private:

@@ -3,23 +3,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "src/common/string_util.h"
-
 namespace hipress::compll {
-
-std::string Value::DebugString() const {
-  switch (kind) {
-    case ValueKind::kScalar:
-      return StrFormat("%s(%g)", TypeName(Type{elem_type, false, {}}).c_str(),
-                       scalar);
-    case ValueKind::kArray:
-      return StrFormat("%s*[%zu]",
-                       TypeName(Type{elem_type, false, {}}).c_str(), size());
-    case ValueKind::kBytes:
-      return StrFormat("bytes[%zu]", size());
-  }
-  return "?";
-}
 
 double CoerceToType(ScalarType type, double v) {
   switch (type) {

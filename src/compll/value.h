@@ -81,8 +81,6 @@ struct Value {
   // value lands in an integer-typed slot.
   long long AsInt() const { return static_cast<long long>(scalar); }
   bool AsBool() const { return scalar != 0.0; }
-
-  std::string DebugString() const;
 };
 
 // Clamps `v` to the representable range of `type` (wrap-around for uints,

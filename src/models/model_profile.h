@@ -41,12 +41,6 @@ struct ModelProfile {
   // Time from backward start until gradient i is produced: backward time is
   // apportioned per layer as a fixed share plus a bytes-proportional share.
   SimTime GradientReadyOffset(size_t i, double compute_scale) const;
-
-  SimTime iteration_compute(double compute_scale) const {
-    return static_cast<SimTime>(
-        static_cast<double>(forward_time_v100 + backward_time_v100) /
-        compute_scale);
-  }
 };
 
 // Models: "vgg19", "resnet50", "ugatit", "ugatit-light", "bert-base",

@@ -160,10 +160,6 @@ class Network {
   SimTime downlink_busy(int node) const {
     return link_busy_[num_nodes_ + node];
   }
-  // Cumulative serialization on a ToR fabric link (0 when flat or idle).
-  SimTime tor_uplink_busy(int tor) const {
-    return link_busy_[2 * num_nodes_ + tor];
-  }
   uint64_t messages_delivered() const { return messages_delivered_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
 

@@ -9,10 +9,8 @@
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 #include "src/models/model_profile.h"
-#include "src/net/network.h"
-#include "src/sim/simulator.h"
-#include "src/simgpu/gpu.h"
 #include "src/strategies/presets.h"
+#include "src/train/fabric.h"
 #include "src/train/job_driver.h"
 
 namespace hipress {
@@ -26,10 +24,16 @@ struct Job {
   int batch_per_gpu = 0;
   std::unique_ptr<CaSyncEngine> engine;
   std::unique_ptr<JobDriver> driver;
+  // "<prefix>.iteration_ms": the histogram, watchdog series and stall rule.
+  std::string iteration_series;
+  Histogram* iteration_ms = nullptr;
   int iteration = 0;
   SimTime iter_start = 0;
   ClusterJobReport report;
 };
+
+// The driver's one flight event, "job.iter.end".
+constexpr size_t kJobIterEnd = 0;
 
 uint64_t FnvMix(uint64_t hash, uint64_t value) {
   for (int b = 0; b < 8; ++b) {
@@ -97,28 +101,14 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   const std::vector<std::vector<int>> assignment =
       AssignJobNodes(total_nodes, num_jobs, options.placement);
 
-  // -------------------------------------------------------------------
-  // Shared fabric: one simulator, one network, one metrics registry.
-  // -------------------------------------------------------------------
-  auto metrics = std::make_shared<MetricsRegistry>();
-  std::shared_ptr<SpanCollector> spans;
-  if (options.record_timeline) {
-    spans = std::make_shared<SpanCollector>();
-  }
-  Simulator sim;
-  Network net(&sim, total_nodes, options.cluster.net, metrics.get(),
-              spans.get());
-  std::vector<std::unique_ptr<GpuDevice>> gpu_storage;
-  std::vector<GpuDevice*> gpus;
-  gpu_storage.reserve(static_cast<size_t>(total_nodes));
-  for (int node = 0; node < total_nodes; ++node) {
-    gpu_storage.push_back(
-        std::make_unique<GpuDevice>(&sim, node, 2, metrics.get()));
-    if (options.record_timeline) {
-      gpu_storage.back()->set_record_timeline(true);
-    }
-    gpus.push_back(gpu_storage.back().get());
-  }
+  // Shared fabric: one simulator, one network, one metrics registry, and
+  // one cluster-wide black box (a ring per node, all jobs' traffic
+  // interleaved).
+  Fabric fabric(total_nodes, options.cluster.net, options.record_timeline,
+                options.observability, {"job.iter.end"});
+  Simulator& sim = fabric.sim();
+  MetricsRegistry* metrics = fabric.metrics().get();
+  const std::vector<GpuDevice*>& gpus = fabric.gpus();
 
   // -------------------------------------------------------------------
   // Per-job setup: config, engine, and the same JobDriver SimulateTraining
@@ -132,6 +122,9 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
     job->spec = spec;
     job->prefix =
         spec.name.empty() ? StrFormat("job%d", k) : spec.name;
+    job->iteration_series = job->prefix + ".iteration_ms";
+    job->iteration_ms = &metrics->histogram(
+        job->iteration_series, HistogramBuckets::Exponential(1.0, 2.0, 16));
 
     // The driver plans over the job (num_nodes = job size); the engine
     // addresses the shared cluster (num_nodes = total) so the physical
@@ -149,7 +142,8 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
     // counters would otherwise merge across jobs on the shared registry
     // and become unattributable.
     job->engine = std::make_unique<CaSyncEngine>(
-        &sim, &net, gpus, engine_config, nullptr, spans.get());
+        &sim, &fabric.net(), gpus, engine_config, nullptr,
+        fabric.spans().get());
     auto driver = JobDriver::Create(model, config, spec.adaptive,
                                     options.launch_overhead, &sim,
                                     job->engine.get(),
@@ -168,55 +162,24 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   }
 
   // -------------------------------------------------------------------
-  // Observability (docs/OBSERVABILITY.md): one cluster-wide black box (a
-  // ring per node, all jobs' traffic interleaved) plus a watchdog over the
-  // shared fabric — scheduler queue depth, wire-pool misses — and a
-  // per-job iteration-stall rule.
+  // Watchdog (docs/OBSERVABILITY.md) over the shared fabric — scheduler
+  // queue depth, wire-pool misses — plus a per-job iteration-stall rule.
   // -------------------------------------------------------------------
-  std::shared_ptr<FlightRecorder> flight;
-  uint16_t ev_job_iter = 0;
-  if (options.observability.flight_recorder) {
-    FlightRecorder::Options fr_options;
-    fr_options.num_nodes = total_nodes;
-    fr_options.events_per_node = options.observability.flight_events_per_node;
-    fr_options.dump_path = options.observability.flight_dump_path;
-    flight = std::make_shared<FlightRecorder>(fr_options);
-    ev_job_iter = flight->Intern("job.iter.end");
-    net.set_flight_recorder(flight.get());
-    FlightRecorder::InstallGlobal(flight.get());
+  std::vector<HealthRule> rules;
+  rules.push_back(HealthRule{"queue_blowup", "sim.queue_depth",
+                             HealthRuleKind::kAboveMedianFactor, 4.0});
+  rules.push_back(HealthRule{"pool_miss_growth", "net.pool_misses",
+                             HealthRuleKind::kAboveValue, 0.0});
+  for (const auto& job : jobs) {
+    rules.push_back(HealthRule{job->prefix + ".stall", job->iteration_series,
+                               HealthRuleKind::kAboveMedianFactor, 3.0});
   }
-  TimeSeriesHub hub;
-  std::unique_ptr<HealthMonitor> watchdog;
-  if (options.observability.watchdog) {
-    hub.AttachCounter(metrics.get(), "net.pool_misses");
-    hub.AttachGauge(metrics.get(), "sim.queue_depth");
-    watchdog =
-        std::make_unique<HealthMonitor>(&hub, metrics.get(), flight.get());
-    HealthRule queue_blowup;
-    queue_blowup.name = "queue_blowup";
-    queue_blowup.series = "sim.queue_depth";
-    queue_blowup.kind = HealthRuleKind::kAboveMedianFactor;
-    queue_blowup.threshold = 4.0;
-    watchdog->AddRule(queue_blowup);
-    HealthRule pool_misses;
-    pool_misses.name = "pool_miss_growth";
-    pool_misses.series = "net.pool_misses";
-    pool_misses.kind = HealthRuleKind::kAboveValue;
-    pool_misses.threshold = 0.0;
-    watchdog->AddRule(pool_misses);
-    for (const auto& job : jobs) {
-      HealthRule stall;
-      stall.name = job->prefix + ".stall";
-      stall.series = job->prefix + ".iteration_ms";
-      stall.kind = HealthRuleKind::kAboveMedianFactor;
-      stall.threshold = 3.0;
-      watchdog->AddRule(stall);
-    }
-    watchdog->set_on_trip([&flight](const HealthRule&) {
-      if (flight) {
-        flight->TriggerDump("watchdog-trip");
-      }
-    });
+  fabric.ArmWatchdog({"net.pool_misses"}, {"sim.queue_depth"},
+                     std::move(rules));
+  // Transport retries join the black box after the health events, so the
+  // ids of every event interned before them keep their numbers.
+  for (const auto& job : jobs) {
+    fabric.WireEngine(job->engine.get());
   }
 
   // -------------------------------------------------------------------
@@ -250,25 +213,14 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   finish_iteration = [&](Job* job) {
     const SimTime end = sim.now();
     job->report.iteration_end.push_back(end);
-    metrics
-        ->histogram(job->prefix + ".iteration_ms",
-                    HistogramBuckets::Exponential(1.0, 2.0, 16))
-        .Observe(ToMillis(end - job->iter_start));
-    if (flight) {
-      flight->Record(job->driver->nodes().front(), ev_job_iter, end,
-                     static_cast<uint64_t>(job->iteration),
-                     static_cast<uint64_t>(end - job->iter_start));
-    }
-    if (watchdog) {
-      // Queue depth is sampled mid-run here (other jobs still in flight),
-      // so the blowup rule watches genuinely live backlog.
-      hub.Series(job->prefix + ".iteration_ms")
-          .Observe(end, ToMillis(end - job->iter_start));
-      metrics->gauge("sim.queue_depth")
-          .Set(static_cast<double>(sim.queue_depth()));
-      hub.SampleAll(end);
-      watchdog->Evaluate(end);
-    }
+    job->iteration_ms->Observe(ToMillis(end - job->iter_start));
+    fabric.Record(job->driver->nodes().front(), kJobIterEnd, end,
+                  static_cast<uint64_t>(job->iteration),
+                  static_cast<uint64_t>(end - job->iter_start));
+    // Queue depth is sampled mid-run here (other jobs still in flight), so
+    // the blowup rule watches genuinely live backlog.
+    fabric.FeedWatchdog(job->iteration_series, end,
+                        ToMillis(end - job->iter_start));
 
     // This job's graphs have all completed, so its engine is idle even
     // while other jobs' traffic is still in flight — adaptive plan swaps
@@ -323,18 +275,10 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
   run.steady_sched_pool_misses =
       steady_baseline_set ? sim.sched_pool_misses() - steady_miss_baseline
                           : 0;
-  run.metrics = metrics;
-  run.spans = spans;
-  if (watchdog) {
-    run.health = watchdog->Finalize();
-  }
-  if (flight) {
-    flight->PublishMetrics(metrics.get());
-    if (!options.observability.flight_dump_path.empty()) {
-      flight->TriggerDump("end-of-run");
-    }
-    run.flight = flight;
-  }
+  run.metrics = fabric.metrics();
+  run.spans = fabric.spans();
+  run.health = fabric.Finish();
+  run.flight = fabric.flight();
 
   uint64_t fingerprint = 14695981039346656037ULL;
   for (size_t k = 0; k < jobs.size(); ++k) {
@@ -368,8 +312,6 @@ StatusOr<ClusterRunReport> RunClusterJobs(const ClusterJobsOptions& options) {
     run.jobs.push_back(std::move(job.report));
   }
   run.replay_fingerprint = fingerprint;
-
-  sim.PublishHealth(metrics.get());
   metrics->gauge("sim.steady_sched_pool_misses")
       .Set(static_cast<double>(run.steady_sched_pool_misses));
   return run;

@@ -3,12 +3,15 @@
 // RunClusterJobs instantiates K independent training jobs — each with its
 // own model, sync system, codec, task-graph engine and (optionally) adaptive
 // controller — over disjoint node subsets of ONE simulated cluster: a single
-// Simulator drives a single Network, so every job's traffic contends for the
-// same links. Under a flat topology jobs only collide at their own endpoint
-// NICs; under an oversubscribed fat tree with striped placement, jobs share
-// ToR uplinks and the cross-job interference the multi-tenant-cluster
-// literature analyzes (PAPERS.md, "On the Utility of Gradient Compression")
-// becomes measurable: per-job iteration times stretch versus a solo run,
+// Fabric (fabric.h, built the same way SimulateTraining builds its own)
+// holds one Simulator driving one Network plus the shared observability
+// stack, so every job's traffic contends for the same links and lands in
+// the same metrics registry, flight recorder and watchdog. Under a flat
+// topology jobs only collide at their own endpoint NICs; under an
+// oversubscribed fat tree with striped placement, jobs share ToR uplinks
+// and the cross-job interference the multi-tenant-cluster literature
+// analyzes (PAPERS.md, "On the Utility of Gradient Compression") becomes
+// measurable: per-job iteration times stretch versus a solo run,
 // critical-path send shares rise, and each job's AdaptiveController reacts
 // to bandwidth it actually observes.
 //
@@ -72,8 +75,9 @@ struct ClusterJobsOptions {
   SimTime launch_overhead = FromMicros(50.0);
   bool record_timeline = false;
   // Flight recorder + watchdog (docs/OBSERVABILITY.md). The recorder spans
-  // the whole cluster (one ring per node); watchdog rules cover the shared
-  // scheduler/network plus a per-job iteration-stall rule.
+  // the whole cluster (one ring per node) and carries every job engine's
+  // transport retries; watchdog rules cover the shared scheduler/network
+  // plus a per-job iteration-stall rule.
   ObservabilityOptions observability;
 };
 

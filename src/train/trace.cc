@@ -8,49 +8,6 @@
 #include "src/common/string_util.h"
 
 namespace hipress {
-
-std::string TimelineToChromeTrace(const std::vector<GpuInterval>& timeline,
-                                  SimTime origin) {
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  for (const GpuInterval& interval : timeline) {
-    if (interval.end <= origin) {
-      continue;
-    }
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    const double start_us =
-        static_cast<double>(interval.start - origin) / kMicrosecond;
-    const double duration_us =
-        static_cast<double>(interval.end - interval.start) / kMicrosecond;
-    // tid groups rows by task kind; compute on row 0.
-    const int tid = static_cast<int>(interval.kind);
-    out << StrFormat(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-        "\"pid\":0,\"tid\":%d}",
-        GpuTaskKindName(interval.kind), start_us, duration_us, tid);
-  }
-  out << "],\"displayTimeUnit\":\"ms\"}";
-  return out.str();
-}
-
-Status WriteChromeTrace(const std::string& path,
-                        const std::vector<GpuInterval>& timeline,
-                        SimTime origin) {
-  std::ofstream file(path);
-  if (!file.good()) {
-    return InvalidArgumentError("cannot open trace file: " + path);
-  }
-  file << TimelineToChromeTrace(timeline, origin);
-  if (!file.good()) {
-    return InternalError("failed writing trace file: " + path);
-  }
-  return OkStatus();
-}
-
 namespace {
 
 void AppendEvent(std::ostringstream& out, bool* first, const char* name,
@@ -83,7 +40,39 @@ void AppendMetadata(std::ostringstream& out, bool* first, const char* kind,
       kind, pid, tid, label.c_str());
 }
 
+Status WriteFile(const std::string& path, const std::string& contents) {
+  std::ofstream file(path);
+  if (!file.good()) {
+    return InvalidArgumentError("cannot open trace file: " + path);
+  }
+  file << contents;
+  if (!file.good()) {
+    return InternalError("failed writing trace file: " + path);
+  }
+  return OkStatus();
+}
+
 }  // namespace
+
+std::string TimelineToChromeTrace(const std::vector<GpuInterval>& timeline,
+                                  SimTime origin) {
+  std::ostringstream out;
+  out << "{\"traceEvents\":[";
+  bool first = true;
+  for (const GpuInterval& interval : timeline) {
+    // tid groups rows by task kind; compute on row 0.
+    AppendEvent(out, &first, GpuTaskKindName(interval.kind), interval.start,
+                interval.end, 0, static_cast<int>(interval.kind), origin);
+  }
+  out << "],\"displayTimeUnit\":\"ms\"}";
+  return out.str();
+}
+
+Status WriteChromeTrace(const std::string& path,
+                        const std::vector<GpuInterval>& timeline,
+                        SimTime origin) {
+  return WriteFile(path, TimelineToChromeTrace(timeline, origin));
+}
 
 std::string UnifiedTraceToJson(const UnifiedTraceInput& input) {
   std::ostringstream out;
@@ -144,15 +133,7 @@ std::string UnifiedTraceToJson(const UnifiedTraceInput& input) {
 
 Status WriteUnifiedTrace(const std::string& path,
                          const UnifiedTraceInput& input) {
-  std::ofstream file(path);
-  if (!file.good()) {
-    return InvalidArgumentError("cannot open trace file: " + path);
-  }
-  file << UnifiedTraceToJson(input);
-  if (!file.good()) {
-    return InternalError("failed writing trace file: " + path);
-  }
-  return OkStatus();
+  return WriteFile(path, UnifiedTraceToJson(input));
 }
 
 Status WriteTrainReportTrace(const std::string& path,

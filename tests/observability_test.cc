@@ -353,6 +353,50 @@ TEST(ClusterObservabilityTest, MultiJobRunCarriesHealthAndRings) {
   EXPECT_DOUBLE_EQ(run->metrics->gauge("health.rules").value(), 4.0);
 }
 
+// Lossy links make every job engine retransmit through its ReliableChannel;
+// the shared black box must see those retries, and recording them must not
+// perturb the simulation.
+TEST(ClusterObservabilityTest, MultiJobBlackBoxRecordsTransportRetries) {
+  auto run = [](bool recorder) {
+    ClusterJobsOptions options;
+    options.cluster = ClusterSpec::Ec2(8);
+    options.cluster.net.link_bandwidth = Bandwidth::Gbps(10.0);
+    options.cluster.net.topology.kind = TopologyKind::kFatTree;
+    options.cluster.net.topology.oversubscription = 4.0;
+    options.cluster.net.topology.hosts_per_tor = 2;
+    options.cluster.net.faults.drop_prob = 0.05;
+    options.placement = JobPlacement::kStriped;
+    // Rings large enough that no retry record is overwritten.
+    options.observability.flight_recorder = recorder;
+    options.observability.flight_events_per_node = 1 << 16;
+    for (int k = 0; k < 2; ++k) {
+      ClusterJobSpec spec;
+      spec.model = "resnet50";
+      spec.system = "hipress-ps";
+      spec.algorithm = "onebit";
+      spec.iterations = 2;
+      options.jobs.push_back(spec);
+    }
+    auto result = RunClusterJobs(options);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return std::move(result).value();
+  };
+  const ClusterRunReport on = run(true);
+  const ClusterRunReport off = run(false);
+  EXPECT_EQ(on.replay_fingerprint, off.replay_fingerprint);
+  EXPECT_EQ(off.flight, nullptr);
+  ASSERT_NE(on.flight, nullptr);
+  const std::vector<std::string> names = on.flight->type_names();
+  EXPECT_EQ(on.flight->events_overwritten(), 0u);
+  size_t retries = 0;
+  for (int node = 0; node < on.flight->num_nodes(); ++node) {
+    for (const FlightRecord& record : on.flight->Snapshot(node)) {
+      retries += names[record.type()] == "net.retry" ? 1 : 0;
+    }
+  }
+  EXPECT_GE(retries, 1u);
+}
+
 // The acceptance path (ISSUE 9): an unrecoverable node failure writes a
 // black-box dump mid-run whose decoded JSONL tail reconstructs the failing
 // node's final recorded events byte-for-byte.
